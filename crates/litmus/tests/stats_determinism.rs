@@ -87,6 +87,7 @@ fn coww_structural_counters_are_pinned() {
         ("test.CoWW.sat.clauses", 6073),
         ("test.CoWW.sat.tseitin_clauses", 321),
         ("test.CoWW.circuit.inputs", 116),
+        ("test.CoWW.circuit.gates", 2642),
         ("test.CoWW.harness.queries", 1),
         ("test.MP+bar.litmus.candidates", 2),
         ("test.MP+bar.harness.queries", 1),
@@ -104,6 +105,5 @@ fn coww_structural_counters_are_pinned() {
     // Search counters are deterministic (asserted by the sibling test)
     // but heuristic-sensitive, so they are only required to be sane.
     assert!(snap.counter("test.CoWW.solver.propagations") > 0);
-    assert!(snap.counter("test.CoWW.circuit.gates") > 0);
     assert!(snap.counter("test.CoWW.circuit.matrix_cells") > 0);
 }

@@ -168,6 +168,9 @@ pub struct Solver {
     cancel: Option<CancelToken>,
     model: Vec<LBool>,
     final_conflict: Vec<Lit>,
+    /// Scratch space [`Solver::add_clause`] simplifies each clause in,
+    /// reused so adding a clause allocates nothing.
+    add_buf: Vec<Lit>,
     proof: Option<Proof>,
     trace: Option<TraceHooks>,
 }
@@ -407,25 +410,44 @@ impl Solver {
         // The clause as given is an axiom of the proof; simplified forms
         // derived below are logged as RUP consequences of it.
         self.log_input(lits);
-        let mut cl: Vec<Lit> = lits.to_vec();
+        let mut out = std::mem::take(&mut self.add_buf);
+        out.clear();
+        out.extend_from_slice(lits);
+        let ok = self.add_simplified(&mut out);
+        self.add_buf = out;
+        ok
+    }
+
+    /// The body of [`Solver::add_clause`] after proof logging: sorts and
+    /// simplifies `cl` in place, then stores it.
+    fn add_simplified(&mut self, cl: &mut Vec<Lit>) -> bool {
         cl.sort_unstable();
         cl.dedup();
-        // Drop tautologies and already-satisfied/false literals at level 0.
-        let mut out = Vec::with_capacity(cl.len());
-        for (i, &l) in cl.iter().enumerate() {
+        // Drop tautologies and already-satisfied/false literals at level 0,
+        // compacting the kept literals to the front (`kept <= i`, so the
+        // lookahead at `i + 1` still reads the sorted input).
+        let mut kept = 0;
+        for i in 0..cl.len() {
+            let l = cl[i];
             if i + 1 < cl.len() && cl[i + 1] == !l {
                 return true; // tautology: contains l and ¬l
             }
             match self.value(l) {
                 LBool::True => return true, // already satisfied at level 0
                 LBool::False => continue,   // falsified at level 0: drop literal
-                LBool::Undef => out.push(l),
+                LBool::Undef => {
+                    cl[kept] = l;
+                    kept += 1;
+                }
             }
         }
         // Literals falsified at level 0 were dropped: the shortened clause
         // follows from the input by unit propagation, so it is RUP.
-        if out.len() != cl.len() {
-            self.log_derive(&out);
+        let dropped = kept != cl.len();
+        cl.truncate(kept);
+        let out = &cl[..];
+        if dropped {
+            self.log_derive(out);
         }
         match out.len() {
             0 => {
@@ -441,7 +463,7 @@ impl Solver {
                 self.ok
             }
             _ => {
-                let cref = self.db.alloc(&out, false, 0);
+                let cref = self.db.alloc(out, false, 0);
                 self.attach(cref);
                 true
             }

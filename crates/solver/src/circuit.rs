@@ -8,6 +8,7 @@
 
 use std::collections::HashMap;
 
+use satsolver::hash::FxHashMap;
 use satsolver::{Lit, Solver, Var};
 
 /// A handle to a gate in a [`Circuit`].
@@ -35,7 +36,7 @@ enum Gate {
 #[derive(Debug, Default)]
 pub struct Circuit {
     gates: Vec<Gate>,
-    dedup: HashMap<Gate, GateId>,
+    dedup: FxHashMap<Gate, GateId>,
     num_inputs: u32,
     input_gates: Vec<GateId>,
 }
@@ -260,12 +261,11 @@ impl Circuit {
             self.gates.push(gate);
             return id;
         }
-        if let Some(&id) = self.dedup.get(&gate) {
-            return id;
+        let next = GateId(self.gates.len() as u32);
+        let id = *self.dedup.entry(gate).or_insert(next);
+        if id == next {
+            self.gates.push(gate);
         }
-        let id = GateId(self.gates.len() as u32);
-        self.gates.push(gate);
-        self.dedup.insert(gate, id);
         id
     }
 }

@@ -139,7 +139,8 @@ pub struct Report {
     /// Clauses in the CNF.
     pub sat_clauses: usize,
     /// Sparse matrix cells materialized during translation (for a
-    /// session query: cells this query added).
+    /// session query: cells this query added); subexpressions served
+    /// from the translator's per-formula cache add none.
     pub matrix_cells: u64,
     /// Tseitin defining clauses emitted while encoding (for a session
     /// query: clauses this query added).

@@ -49,7 +49,9 @@ pub struct SessionStats {
     /// Gates found already encoded by an earlier query — translation work
     /// a scratch run would have repeated.
     pub gate_cache_hits: u64,
-    /// Sparse matrix cells materialized by the session's translator.
+    /// Sparse matrix cells materialized by the session's translator; a
+    /// subexpression repeated within one formula is materialized once
+    /// (see [`IncrementalTranslator::matrix_cells`]).
     pub matrix_cells: u64,
     /// Tseitin defining clauses emitted by the session's encoder.
     pub tseitin_clauses: u64,

@@ -6,11 +6,23 @@
 //! Relational operators combine matrices pointwise or by join; transitive
 //! closure uses iterative squaring (or naive unrolling, for the ablation
 //! study). Formulas reduce to a single root gate.
+//!
+//! Within one formula, each distinct composite subexpression that reads
+//! no quantified variable is translated once: its matrix is cached under
+//! the expression itself (a structural key, so separately built copies of
+//! one derived relation share an entry) and later occurrences reuse it,
+//! the way Kodkod caches shared subterms. A second translation would only
+//! rebuild gates that structural hashing in the [`Circuit`] already
+//! holds, so the cache changes the work done, never the circuit. It is
+//! dropped when the formula is done, so a long-lived session does not
+//! accumulate entries for formulas it will not see again.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use relational::ast::{Expr, Formula, VarId};
 use relational::{Atom, Bounds, Schema, Tuple, TupleSet, TypeError};
+use satsolver::hash::FxHashMap;
 
 use crate::circuit::{Circuit, GateId};
 
@@ -82,8 +94,8 @@ pub struct Translation {
     /// For each relation id: tuple → circuit input index.
     pub rel_inputs: Vec<BTreeMap<Tuple, u32>>,
     /// Sparse matrix cells materialized while translating (relation
-    /// allocation plus every operator result); see
-    /// [`IncrementalTranslator::matrix_cells`].
+    /// allocation plus every operator result not served from the
+    /// subexpression cache); see [`IncrementalTranslator::matrix_cells`].
     pub matrix_cells: u64,
 }
 
@@ -141,6 +153,8 @@ impl IncrementalTranslator {
             strategy,
             bool_inputs: HashMap::new(),
             cells: 0,
+            cache: FxHashMap::default(),
+            var_reads: 0,
         };
         inner.allocate_relations();
         IncrementalTranslator { inner }
@@ -154,7 +168,11 @@ impl IncrementalTranslator {
     /// Returns a [`TypeError`] if the formula violates arity discipline.
     pub fn formula(&mut self, formula: &Formula) -> Result<GateId, TypeError> {
         relational::check_formula(formula, &self.inner.schema)?;
-        self.inner.formula(formula)
+        let root = self.inner.formula(formula);
+        // Free the table too, not just its entries: pooled sessions
+        // would each keep a cache-sized allocation alive.
+        self.inner.cache = FxHashMap::default();
+        root
     }
 
     /// The shared circuit.
@@ -192,8 +210,10 @@ impl IncrementalTranslator {
     /// Cumulative count of sparse matrix cells materialized by this
     /// translator: the relation matrices allocated at construction plus
     /// every entry of every operator result (union, join, closure
-    /// squaring steps, …). A measure of translation-side work that is
-    /// deterministic for a fixed (schema, bounds, formula) sequence.
+    /// squaring steps, …). A subexpression served from the per-formula
+    /// cache materializes nothing, so repeats within one formula count
+    /// once. A measure of translation-side work that is deterministic
+    /// for a fixed (schema, bounds, formula) sequence.
     pub fn matrix_cells(&self) -> u64 {
         self.inner.cells
     }
@@ -204,7 +224,8 @@ struct Translator {
     schema: Schema,
     bounds: Bounds,
     circuit: Circuit,
-    rel_matrices: Vec<Matrix>,
+    /// Shared, not copied, by every `Expr::Rel` occurrence.
+    rel_matrices: Vec<Arc<Matrix>>,
     rel_inputs: Vec<BTreeMap<Tuple, u32>>,
     env: HashMap<VarId, Atom>,
     strategy: ClosureStrategy,
@@ -216,6 +237,13 @@ struct Translator {
     /// Matrix cells materialized so far; see
     /// [`IncrementalTranslator::matrix_cells`].
     cells: u64,
+    /// Matrices of the closed composite subexpressions translated during
+    /// the current formula (see the module docs); emptied after each.
+    cache: FxHashMap<Expr, Arc<Matrix>>,
+    /// `Expr::Var` translations so far. A subexpression whose
+    /// translation leaves this unchanged read no quantifier binding, so
+    /// its matrix is the same under every binding and may be cached.
+    var_reads: u64,
 }
 
 impl Translator {
@@ -236,7 +264,7 @@ impl Translator {
                 m.entries.insert(t.clone(), g);
             }
             self.cells += m.entries.len() as u64;
-            self.rel_matrices.push(m);
+            self.rel_matrices.push(Arc::new(m));
             self.rel_inputs.push(inputs);
         }
     }
@@ -247,29 +275,38 @@ impl Translator {
         m
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<Matrix, TypeError> {
+    /// The matrix of `e`. Relation matrices are shared, not copied;
+    /// composite expressions go through [`Translator::composite`].
+    fn expr(&mut self, e: &Expr) -> Result<Arc<Matrix>, TypeError> {
         let n = self.bounds.universe_size();
-        Ok(match e {
-            Expr::Rel(r) => self.rel_matrices[r.index()].clone(),
+        let m = match e {
+            Expr::Rel(r) => return Ok(Arc::clone(&self.rel_matrices[r.index()])),
             Expr::Var(v) => {
+                self.var_reads += 1;
                 let atom = *self.env.get(v).ok_or(TypeError::UnboundVar(*v))?;
                 let mut m = Matrix::empty(1);
                 m.entries.insert(Tuple::new(vec![atom]), self.circuit.tru());
-                self.built(m)
+                m
             }
-            Expr::Const(ts) => {
-                let m = Matrix::constant(&mut self.circuit, ts);
-                self.built(m)
-            }
-            Expr::Iden => {
-                let m = Matrix::constant(&mut self.circuit, &TupleSet::iden(n));
-                self.built(m)
-            }
-            Expr::Univ => {
-                let m = Matrix::constant(&mut self.circuit, &TupleSet::universe(n));
-                self.built(m)
-            }
-            Expr::None(a) => Matrix::empty(*a),
+            Expr::Const(ts) => Matrix::constant(&mut self.circuit, ts),
+            Expr::Iden => Matrix::constant(&mut self.circuit, &TupleSet::iden(n)),
+            Expr::Univ => Matrix::constant(&mut self.circuit, &TupleSet::universe(n)),
+            Expr::None(a) => return Ok(Arc::new(Matrix::empty(*a))),
+            _ => return self.composite(e),
+        };
+        Ok(Arc::new(self.built(m)))
+    }
+
+    /// The matrix of an operator expression: from the cache if this
+    /// formula already translated `e`, else built from its operands and,
+    /// when it read no quantified variable, cached.
+    fn composite(&mut self, e: &Expr) -> Result<Arc<Matrix>, TypeError> {
+        if let Some(m) = self.cache.get(e) {
+            return Ok(Arc::clone(m));
+        }
+        let var_reads = self.var_reads;
+        let n = self.bounds.universe_size();
+        let m = Arc::new(match e {
             Expr::Union(a, b) => {
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
                 self.union(&ma, &mb)
@@ -293,7 +330,7 @@ impl Translator {
             Expr::Transpose(a) => {
                 let ma = self.expr(a)?;
                 let mut m = Matrix::empty(2);
-                for (t, g) in ma.entries {
+                for (t, &g) in &ma.entries {
                     m.entries.insert(t.reversed(), g);
                 }
                 self.built(m)
@@ -308,7 +345,12 @@ impl Translator {
                 let iden = Matrix::constant(&mut self.circuit, &TupleSet::iden(n));
                 self.union(&closed, &iden)
             }
-        })
+            _ => unreachable!("leaf expressions are built by `expr`"),
+        });
+        if self.var_reads == var_reads {
+            self.cache.insert(e.clone(), Arc::clone(&m));
+        }
+        Ok(m)
     }
 
     fn union(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
@@ -348,7 +390,7 @@ impl Translator {
     fn join(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
         let result_arity = a.arity + b.arity - 2;
         // Index b by first atom.
-        let mut index: HashMap<Atom, Vec<(&Tuple, GateId)>> = HashMap::new();
+        let mut index: FxHashMap<Atom, Vec<(&Tuple, GateId)>> = FxHashMap::default();
         for (t, &g) in &b.entries {
             index.entry(t.atoms()[0]).or_default().push((t, g));
         }
@@ -484,7 +526,7 @@ impl Translator {
             Formula::ForAll(v, domain, body) => {
                 let md = self.expr(domain)?;
                 let mut gates = Vec::new();
-                for (t, gd) in md.entries.clone() {
+                for (t, &gd) in &md.entries {
                     self.env.insert(*v, t.atoms()[0]);
                     let gb = self.formula(body)?;
                     self.env.remove(v);
@@ -495,7 +537,7 @@ impl Translator {
             Formula::Exists(v, domain, body) => {
                 let md = self.expr(domain)?;
                 let mut gates = Vec::new();
-                for (t, gd) in md.entries.clone() {
+                for (t, &gd) in &md.entries {
                     self.env.insert(*v, t.atoms()[0]);
                     let gb = self.formula(body)?;
                     self.env.remove(v);
@@ -578,6 +620,102 @@ mod tests {
         let b = translate(&schema, &bounds, &f, ClosureStrategy::default()).unwrap();
         assert!(a.matrix_cells > 9, "closure work must be counted");
         assert_eq!(a.matrix_cells, b.matrix_cells);
+    }
+
+    /// `r` binary, `s` and `x` unary, over a universe of three atoms,
+    /// everything free.
+    fn closure_schema() -> (Schema, Bounds, [relational::RelId; 3]) {
+        let mut schema = Schema::new();
+        let r = schema.relation("r", 2);
+        let s = schema.relation("s", 1);
+        let x = schema.relation("x", 1);
+        let mut bounds = Bounds::new(&schema, 3);
+        bounds.bound_upper(r, TupleSet::universe(3).product(&TupleSet::universe(3)));
+        bounds.bound_upper(s, TupleSet::universe(3));
+        bounds.bound_upper(x, TupleSet::universe(3));
+        (schema, bounds, [r, s, x])
+    }
+
+    #[test]
+    fn quantified_body_mixing_closed_and_bound_parts_is_exact() {
+        // all v: x | v.(^r) in s — the closure is closed and cached, the
+        // join reads `v` and must be rebuilt for every atom.
+        let (schema, bounds, [r, s, x]) = closure_schema();
+        let v = VarId::new(0);
+        let quantified =
+            Formula::for_all(v, rel(x), Expr::Var(v).join(&rel(r).closure()).in_(&rel(s)));
+        let instantiated = Formula::and_all((0..3).map(|a| {
+            let atom = Expr::constant(TupleSet::from_atoms([a]));
+            atom.in_(&rel(x))
+                .implies(&atom.join(&rel(r).closure()).in_(&rel(s)))
+        }));
+        let mut tr = IncrementalTranslator::new(&schema, &bounds, ClosureStrategy::default());
+        let root = tr.formula(&quantified).unwrap();
+        assert_eq!(tr.formula(&instantiated).unwrap(), root);
+
+        // The circuit agrees with the ground evaluator on a spread of
+        // instances (a fixed linear congruential stream picks the tuples).
+        let mut seed = 0x2545_f491_u64;
+        let mut outcomes = [false; 2];
+        for _ in 0..24 {
+            let mut inst = relational::Instance::empty(&schema, 3);
+            let mut inputs = vec![false; tr.circuit().num_inputs()];
+            for (id, map) in tr.rel_inputs().iter().enumerate() {
+                let mut value = TupleSet::empty(schema.iter().nth(id).unwrap().1.arity);
+                for (t, &k) in map {
+                    seed = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    if seed >> 63 == 1 {
+                        inputs[k as usize] = true;
+                        value.insert(t.clone());
+                    }
+                }
+                inst.set([r, s, x][id], value);
+            }
+            let holds = relational::eval_formula(&schema, &inst, &quantified).unwrap();
+            assert_eq!(
+                tr.circuit().eval(root, &inputs),
+                holds,
+                "circuit and evaluator disagree on\n{}",
+                inst.display(&schema)
+            );
+            outcomes[usize::from(holds)] = true;
+        }
+        assert_eq!(
+            outcomes,
+            [true, true],
+            "the instances must reach both verdicts"
+        );
+    }
+
+    #[test]
+    fn repeated_subformula_materializes_nothing_more() {
+        // Two separately built copies of one formula: the structural key
+        // must make the second a cache hit throughout.
+        let (schema, bounds, [r, _, _]) = closure_schema();
+        let f = || rel(r).closure().join(&rel(r)).intersect(&Expr::Iden).no();
+        let once = translate(&schema, &bounds, &f(), ClosureStrategy::default()).unwrap();
+        let twice =
+            translate(&schema, &bounds, &f().and(&f()), ClosureStrategy::default()).unwrap();
+        assert_eq!(twice.matrix_cells, once.matrix_cells);
+        assert_eq!(twice.circuit.num_gates(), once.circuit.num_gates());
+    }
+
+    #[test]
+    fn cache_is_dropped_after_each_formula() {
+        let (schema, bounds, [r, s, _]) = closure_schema();
+        let mut tr = IncrementalTranslator::new(&schema, &bounds, ClosureStrategy::default());
+        let allocated = tr.matrix_cells();
+        let f = rel(r).closure().join(&rel(s)).some();
+        tr.formula(&f).unwrap();
+        assert!(tr.inner.cache.is_empty());
+        // A later formula re-translates the closure from scratch (its
+        // cells count again) but lands on the same gates.
+        let gates = tr.circuit().num_gates();
+        let cells = tr.matrix_cells();
+        tr.formula(&f).unwrap();
+        assert!(tr.inner.cache.is_empty());
+        assert_eq!(tr.circuit().num_gates(), gates);
+        assert_eq!(tr.matrix_cells() - cells, cells - allocated);
     }
 
     #[test]
