@@ -13,12 +13,13 @@
 //! against the symbolic value encoding, and random litmus programs
 //! answered under both PTX consistency models (axiomatic vs the
 //! cumulative draft) — as jobs on the workspace's worker-pool harness
-//! ([`modelfinder::harness`]). Litmus and barrier rounds share
-//! incremental SAT sessions (with their proof checkers) through a
+//! ([`modelfinder::harness`]). The last three are the profiles of
+//! [`fuzzkit::litmusgen`]. Litmus and barrier rounds share incremental
+//! SAT sessions (with their proof checkers) through a
 //! [`modelfinder::SessionPool`], exactly like `ptxherd --sat`; model
-//! rounds share a second pool keyed by `(model, signature)`.
-//! Cross-model verdict divergence in a model round is not a failure —
-//! it is counted under `gen.model.fuzz.model_diffs`.
+//! rounds share a second pool, so they never reuse sessions the other
+//! rounds warmed. Cross-model verdict divergence in a model round is
+//! not a failure — it is counted under `gen.model.fuzz.model_diffs`.
 //!
 //! Every `Unsat` any engine produces is certified against the
 //! independent DRAT checker. On disagreement the round's seed and a
@@ -26,7 +27,7 @@
 //! timeouts degrade to `Unknown` records, never hangs.
 //!
 //! `--stats` prints an observability table after the run — totals plus
-//! per-generator counters under `gen.{cnf,relform,litmus,barrier}.`;
+//! per-generator counters under `gen.{cnf,relform,litmus,barrier,model}.`;
 //! `--stats-json PATH` writes the snapshot as JSON Lines in the shared
 //! `obs` schema. `--trace-out PATH` writes the run's event timeline as
 //! Chrome trace-event JSON (per-round `query:*` spans, worker-tagged),
@@ -36,13 +37,9 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use fuzzkit::litmusgen::CertSession;
-use fuzzkit::{
-    barriergen, cnf, litmusgen, modelgen, relform, round_seed, Disagreement, RoundStats,
-};
-use litmus::sat::Signature;
+use fuzzkit::litmusgen::{self, Pool, Profile};
+use fuzzkit::{cnf, relform, round_seed, Disagreement, RoundStats};
 use modelfinder::harness::{run_queries, HarnessOptions, Query, QueryOutput};
-use modelfinder::SessionPool;
 
 struct Cli {
     rounds: u64,
@@ -162,8 +159,8 @@ fn main() -> ExitCode {
         }
     };
 
-    let pool: Arc<SessionPool<Signature, CertSession>> = Arc::new(SessionPool::new());
-    let model_pool: Arc<SessionPool<modelgen::PoolKey, CertSession>> = Arc::new(SessionPool::new());
+    let pool = Arc::new(Pool::new());
+    let model_pool = Arc::new(Pool::new());
     let failures: Arc<Mutex<Vec<Disagreement>>> = Arc::new(Mutex::new(Vec::new()));
     let mut queries = Vec::new();
     for round in 0..cli.rounds {
@@ -177,30 +174,24 @@ fn main() -> ExitCode {
         queries.push(Query::new(format!("relform/{round}"), move |ctx| {
             output(relform::run_round(seed), &f, &ctx.obs)
         }));
-        let f = Arc::clone(&failures);
-        let p = Arc::clone(&pool);
-        let seed = round_seed(cli.seed, "litmusgen", round);
-        queries.push(Query::new(format!("litmus/{round}"), move |ctx| {
-            output(litmusgen::run_round(seed, &p), &f, &ctx.obs)
-        }));
-        let f = Arc::clone(&failures);
-        let p = Arc::clone(&pool);
-        let seed = round_seed(cli.seed, "barriergen", round);
-        queries.push(Query::new(format!("barrier/{round}"), move |ctx| {
-            output(barriergen::run_round(seed, &p), &f, &ctx.obs)
-        }));
-        let f = Arc::clone(&failures);
-        let p = Arc::clone(&model_pool);
-        let seed = round_seed(cli.seed, "modelgen", round);
-        queries.push(Query::new(format!("model/{round}"), move |ctx| {
-            let result = modelgen::run_round(seed, &p).map(|(stats, diverged)| {
-                if diverged {
-                    ctx.obs.add("fuzz.model_diffs", 1);
-                }
-                stats
-            });
-            output(result, &f, &ctx.obs)
-        }));
+        for profile in Profile::ALL {
+            let f = Arc::clone(&failures);
+            let (p, name) = match profile {
+                Profile::Plain => (Arc::clone(&pool), "litmus"),
+                Profile::Barrier => (Arc::clone(&pool), "barrier"),
+                Profile::CrossModel => (Arc::clone(&model_pool), "model"),
+            };
+            let seed = round_seed(cli.seed, profile.tag(), round);
+            queries.push(Query::new(format!("{name}/{round}"), move |ctx| {
+                let result = litmusgen::run_round(profile, seed, &p).map(|(stats, diverged)| {
+                    if diverged {
+                        ctx.obs.add("fuzz.model_diffs", 1);
+                    }
+                    stats
+                });
+                output(result, &f, &ctx.obs)
+            }));
+        }
     }
 
     let stats_wanted = cli.stats || cli.stats_json.is_some();

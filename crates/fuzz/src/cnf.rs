@@ -246,6 +246,7 @@ pub fn run_round(seed: u64) -> Result<RoundStats, Disagreement> {
             let minimal = crate::shrink::shrink(case, candidates, |c| check(c).is_err(), 400);
             Err(Disagreement {
                 generator: "cnf",
+                profile: None,
                 seed,
                 what,
                 shrunk: minimal.to_string(),

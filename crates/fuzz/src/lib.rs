@@ -15,29 +15,25 @@
 //! * [`litmusgen`] — random PTX litmus programs: exhaustive execution
 //!   enumeration against the SAT path, both scratch
 //!   [`modelfinder::ModelFinder`] problems and pooled incremental
-//!   [`litmus::sat::SatSession`]s with incremental proof certification;
-//! * [`barriergen`] — random barrier and data-dependency programs
-//!   (`bar.sync`/`bar.arrive`, `atom.add`/`exch`/`cas`, `red.add`,
-//!   register-operand stores, memory-equality conditions), the same
-//!   three-way differential check aimed at the symbolic value layer;
-//! * [`modelgen`] — random litmus tests answered under *both* PTX
-//!   consistency models (the paper's axiomatic model and the cumulative
-//!   draft), three engines per model: per-model engine disagreement is
-//!   a failure, cross-model verdict divergence is counted as the known
-//!   distinguishing fragment.
+//!   [`litmus::sat::SatSession`]s with incremental proof certification.
+//!   One case type and one check serve three [`litmusgen::Profile`]s:
+//!   plain stores/loads/fences, a barrier/RMW/data-dependency mix aimed
+//!   at the symbolic value layer, and the plain mix answered under
+//!   *both* PTX consistency models (the paper's axiomatic model and the
+//!   cumulative draft), where cross-model verdict divergence is counted
+//!   as the known distinguishing fragment, not a failure.
 //!
 //! Failures are deterministic: each round derives from an explicit seed
 //! ([`round_seed`]), and a failing case is greedily minimized by
 //! [`shrink::shrink`] before being reported as a [`Disagreement`]. The
-//! `fuzzherd` binary drives all five generators under the existing
-//! worker-pool harness ([`modelfinder::harness`]).
+//! `fuzzherd` binary drives all five generators (`cnf`, `relform`, and
+//! the three litmus profiles) under the existing worker-pool harness
+//! ([`modelfinder::harness`]).
 
 #![warn(missing_docs)]
 
-pub mod barriergen;
 pub mod cnf;
 pub mod litmusgen;
-pub mod modelgen;
 pub mod relform;
 pub mod shrink;
 
@@ -45,9 +41,12 @@ pub mod shrink;
 /// generator round, after shrinking.
 #[derive(Debug, Clone)]
 pub struct Disagreement {
-    /// Which generator found it (`"cnf"`, `"relform"`, `"litmusgen"`,
-    /// `"barriergen"`, `"modelgen"`).
+    /// Which generator found it: its [`round_seed`] tag (`"cnf"`,
+    /// `"relform"`, or a litmus profile's `"litmusgen"`, `"barriergen"`,
+    /// `"modelgen"`).
     pub generator: &'static str,
+    /// The litmus profile that found it; `None` for `cnf` and `relform`.
+    pub profile: Option<litmusgen::Profile>,
     /// The round seed that reproduces the failure deterministically.
     pub seed: u64,
     /// What went wrong (which engines disagreed, or which certificate
@@ -69,11 +68,11 @@ impl std::fmt::Display for Disagreement {
         for line in self.shrunk.lines() {
             writeln!(f, "    {line}")?;
         }
-        write!(
-            f,
-            "  replay with fuzzkit::{}::run_round({:#018x}, ..)",
-            self.generator, self.seed
-        )
+        let call = match self.profile {
+            Some(p) => format!("litmusgen::run_round(Profile::{p:?}, "),
+            None => format!("{}::run_round(", self.generator),
+        };
+        write!(f, "  replay with fuzzkit::{call}{:#018x}, ..)", self.seed)
     }
 }
 
@@ -109,5 +108,32 @@ mod tests {
         assert_ne!(round_seed(7, "cnf", 0), round_seed(7, "cnf", 1));
         assert_ne!(round_seed(7, "cnf", 0), round_seed(7, "relform", 0));
         assert_ne!(round_seed(7, "cnf", 0), round_seed(8, "cnf", 0));
+    }
+
+    #[test]
+    fn disagreements_print_a_replay_call() {
+        let profile = litmusgen::Profile::Barrier;
+        let d = Disagreement {
+            generator: profile.tag(),
+            profile: Some(profile),
+            seed: 0xab,
+            what: "session says observable=true, enumeration says false".to_string(),
+            shrunk: "layout kind 0\nT0: []".to_string(),
+        };
+        assert_eq!(
+            d.to_string(),
+            "barriergen disagreement (seed 0x00000000000000ab)\n  \
+             session says observable=true, enumeration says false\n  \
+             minimal failing case:\n    layout kind 0\n    T0: []\n  \
+             replay with fuzzkit::litmusgen::run_round(Profile::Barrier, 0x00000000000000ab, ..)"
+        );
+        let cnf = Disagreement {
+            generator: "cnf",
+            profile: None,
+            ..d
+        };
+        assert!(cnf
+            .to_string()
+            .ends_with("fuzzkit::cnf::run_round(0x00000000000000ab, ..)"));
     }
 }

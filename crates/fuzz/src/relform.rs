@@ -347,6 +347,7 @@ pub fn run_round(seed: u64) -> Result<RoundStats, Disagreement> {
             let minimal = crate::shrink::shrink(case, candidates, |c| check(c).is_err(), 200);
             Err(Disagreement {
                 generator: "relform",
+                profile: None,
                 seed,
                 what,
                 shrunk: minimal.to_string(),

@@ -3,8 +3,8 @@
 //! disagreements expected; a failure prints the replayable seed and the
 //! shrunk minimal case via [`fuzzkit::Disagreement`]'s `Display`.
 
-use fuzzkit::{cnf, litmusgen, relform, round_seed};
-use modelfinder::SessionPool;
+use fuzzkit::litmusgen::{self, Pool, Profile};
+use fuzzkit::{cnf, relform, round_seed};
 
 const BASE_SEED: u64 = 7;
 
@@ -26,9 +26,9 @@ fn relform_rounds_find_no_disagreement() {
 
 #[test]
 fn litmus_rounds_find_no_disagreement() {
-    let pool = SessionPool::new();
+    let pool = Pool::new();
     for round in 0..10 {
-        let seed = round_seed(BASE_SEED, "litmusgen", round);
-        litmusgen::run_round(seed, &pool).unwrap_or_else(|d| panic!("{d}"));
+        let seed = round_seed(BASE_SEED, Profile::Plain.tag(), round);
+        litmusgen::run_round(Profile::Plain, seed, &pool).unwrap_or_else(|d| panic!("{d}"));
     }
 }

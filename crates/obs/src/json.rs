@@ -377,6 +377,14 @@ mod tests {
         assert_eq!(parse("  [ ]  "), Some(Value::Arr(vec![])));
         assert_eq!(parse("{}"), Some(Value::Obj(vec![])));
         assert_eq!(parse("-12.5e2"), Some(Value::Num(-1250.0)));
+        assert_eq!(parse("-1.5e2"), Some(Value::Num(-150.0)));
+        assert_eq!(parse("null"), Some(Value::Null));
+        assert_eq!(parse(" true "), Some(Value::Bool(true)));
+        let nested = parse(r#"{"a":[1,{"b":[]}],"c":{}}"#).expect("nested document");
+        let a = nested.get("a").and_then(Value::as_arr).expect("array");
+        assert_eq!(a[0].as_f64(), Some(1.0));
+        assert_eq!(a[1].get("b"), Some(&Value::Arr(vec![])));
+        assert_eq!(nested.get("c"), Some(&Value::Obj(vec![])));
         assert_eq!(
             parse(r#""a\nb""#).as_ref().and_then(Value::as_str),
             Some("a\nb")
@@ -401,7 +409,9 @@ mod tests {
             "{\"a\":}",
             "{\"a\" 1}",
             "tru",
+            "nul",
             "nulll",
+            "[1] trailing",
             "1 2",
             "{} {}",
             "'single'",
